@@ -33,6 +33,23 @@ const (
 	maxHeapBytes = uint64(1) << 40   // sanity cap for the simulated heap
 )
 
+// The binmap has one bit per bin; these lengths go negative if nBins drifts
+// from 64.
+var (
+	_ [nBins - 64]byte
+	_ [64 - nBins]byte
+)
+
+// The live table: one chunk of slots per grow quantum, one slot per granule,
+// holding the live allocation's size in granules (0 = no allocation starts
+// here). Sizes too large for a slot store bigSlot and live in a side map.
+const (
+	liveSlots = growQuantum / Granule
+	bigSlot   = 1<<16 - 1
+)
+
+type liveChunk [liveSlots]uint16
+
 // Sentinel errors.
 var (
 	// ErrBadFree reports a free of an address that is not a live
@@ -78,15 +95,28 @@ type Options struct {
 // Allocator is the dlmalloc-style allocator. It is not safe for concurrent
 // use; CHERIvoke serialises allocation against sweeps anyway.
 type Allocator struct {
-	mem      *mem.Memory
-	opt      Options
-	base     uint64            // heap base address
-	top      uint64            // first never-allocated address (sbrk pointer)
-	limit    uint64            // end of mapped region
-	bins     [nBins][]binEntry // lazy LIFO stacks; validity = maps below
-	byAddr   map[uint64]uint64 // free chunk start -> size (source of truth)
-	byEnd    map[uint64]uint64 // free chunk exclusive end -> start
-	live     map[uint64]uint64 // allocation addr -> size
+	mem   *mem.Memory
+	opt   Options
+	base  uint64 // heap base address
+	top   uint64 // first never-allocated address (sbrk pointer)
+	limit uint64 // end of mapped region
+
+	// bins are lazy LIFO stacks of free chunks: an entry is valid only
+	// while byAddr still maps its address to its size, and stale entries
+	// left behind by coalescing are skipped when popped. binmap has bit b
+	// set iff bins[b] is non-empty, so popFit visits only those bins.
+	bins   [nBins][]binEntry
+	binmap uint64
+	byAddr map[uint64]uint64 // free chunk start -> size (source of truth)
+	byEnd  map[uint64]uint64 // free chunk exclusive end -> start
+
+	// live is the live-allocation table, indexed by granule offset from
+	// base: chunk i covers the i'th grow quantum and is appended when the
+	// heap grows, never copied. A slot holds its allocation's size in
+	// granules, or bigSlot with the size in bigLive.
+	live     []*liveChunk
+	bigLive  map[uint64]uint64
+	nLive    int
 	liveSize uint64
 	stats    Stats
 }
@@ -103,14 +133,14 @@ func NewWithOptions(m *mem.Memory, base uint64, opt Options) (*Allocator, error)
 		return nil, fmt.Errorf("alloc: heap base %#x not page-aligned", base)
 	}
 	return &Allocator{
-		mem:    m,
-		opt:    opt,
-		base:   base,
-		top:    base,
-		limit:  base,
-		byAddr: make(map[uint64]uint64),
-		byEnd:  make(map[uint64]uint64),
-		live:   make(map[uint64]uint64),
+		mem:     m,
+		opt:     opt,
+		base:    base,
+		top:     base,
+		limit:   base,
+		byAddr:  make(map[uint64]uint64),
+		byEnd:   make(map[uint64]uint64),
+		bigLive: make(map[uint64]uint64),
 	}, nil
 }
 
@@ -129,7 +159,7 @@ func (a *Allocator) MappedBytes() uint64 { return a.limit - a.base }
 func (a *Allocator) LiveBytes() uint64 { return a.liveSize }
 
 // LiveCount returns the number of live allocations.
-func (a *Allocator) LiveCount() int { return len(a.live) }
+func (a *Allocator) LiveCount() int { return a.nLive }
 
 // Stats returns a snapshot of the activity counters.
 func (a *Allocator) Stats() Stats { return a.stats }
@@ -160,8 +190,7 @@ func (a *Allocator) insertFree(addr, size uint64) {
 	if a.opt.TypedReuse {
 		a.byAddr[addr] = size
 		a.byEnd[addr+size] = addr
-		b := binFor(size)
-		a.bins[b] = append(a.bins[b], binEntry{addr, size})
+		a.push(addr, size)
 		return
 	}
 	if left, ok := a.byEnd[addr]; ok {
@@ -180,8 +209,22 @@ func (a *Allocator) insertFree(addr, size uint64) {
 	}
 	a.byAddr[addr] = size
 	a.byEnd[addr+size] = addr
+	a.push(addr, size)
+}
+
+// push puts a free chunk on top of its bin.
+func (a *Allocator) push(addr, size uint64) {
 	b := binFor(size)
 	a.bins[b] = append(a.bins[b], binEntry{addr, size})
+	a.binmap |= 1 << b
+}
+
+// setBin replaces bin b's stack, keeping its binmap bit in step.
+func (a *Allocator) setBin(b int, bin []binEntry) {
+	a.bins[b] = bin
+	if len(bin) == 0 {
+		a.binmap &^= 1 << b
+	}
 }
 
 // takeFree removes the free chunk starting at addr from the maps (its lazy
@@ -194,16 +237,18 @@ func (a *Allocator) takeFree(addr uint64) uint64 {
 }
 
 // popFit pops a valid free chunk of at least size bytes whose aligned start
-// fits, searching bins from the request's class upward. It returns the chunk
-// or ok=false.
+// fits, searching the non-empty bins from the request's class upward. It
+// returns the chunk or ok=false.
 func (a *Allocator) popFit(size, alignMask uint64) (binEntry, bool) {
-	lastBin := nBins
+	first := binFor(size)
+	candidates := a.binmap >> first << first
 	if a.opt.TypedReuse {
 		// Type-stable reuse: only the request's own class, and only
 		// exact-size chunks, may be recycled.
-		lastBin = binFor(size) + 1
+		candidates &= 1 << first
 	}
-	for b := binFor(size); b < lastBin; b++ {
+	for ; candidates != 0; candidates &= candidates - 1 {
+		b := bits.TrailingZeros64(candidates)
 		bin := a.bins[b]
 		var skipped []binEntry
 		for len(bin) > 0 {
@@ -223,7 +268,7 @@ func (a *Allocator) popFit(size, alignMask uint64) (binEntry, bool) {
 				fits = e.addr == aligned && e.size == size
 			}
 			if fits {
-				a.bins[b] = append(bin, skipped...)
+				a.setBin(b, append(bin, skipped...))
 				a.takeFree(e.addr)
 				return e, true
 			}
@@ -231,7 +276,7 @@ func (a *Allocator) popFit(size, alignMask uint64) (binEntry, bool) {
 			skipped = append(skipped, e)
 			a.stats.BinRescans++
 		}
-		a.bins[b] = append(bin[:0], skipped...)
+		a.setBin(b, append(bin[:0], skipped...))
 	}
 	return binEntry{}, false
 }
@@ -273,7 +318,7 @@ func (a *Allocator) MallocAligned(size, alignMask uint64) (addr, padded uint64, 
 			return 0, 0, err
 		}
 	}
-	a.live[addr] = size
+	a.setLive(addr, size)
 	a.liveSize += size
 	a.stats.Mallocs++
 	a.stats.BytesAlloc += req
@@ -299,6 +344,10 @@ func (a *Allocator) grow(size, alignMask uint64) (uint64, error) {
 		if err := a.mem.Map(a.limit, grow); err != nil {
 			return 0, fmt.Errorf("alloc: growing heap: %w", err)
 		}
+		chunks := make([]liveChunk, grow/growQuantum)
+		for i := range chunks {
+			a.live = append(a.live, &chunks[i])
+		}
 		a.limit += grow
 		a.stats.HeapGrows++
 	}
@@ -310,10 +359,37 @@ func (a *Allocator) grow(size, alignMask uint64) (uint64, error) {
 	return addr, nil
 }
 
+// liveSlot returns the live-table slot of addr, or nil if addr is not a
+// granule-aligned address in [base, top) and so cannot start an allocation.
+func (a *Allocator) liveSlot(addr uint64) *uint16 {
+	if addr < a.base || addr >= a.top || addr%Granule != 0 {
+		return nil
+	}
+	g := (addr - a.base) / Granule
+	return &a.live[g/liveSlots][g%liveSlots]
+}
+
+func (a *Allocator) setLive(addr, size uint64) {
+	slot := a.liveSlot(addr)
+	if g := size / Granule; g < bigSlot {
+		*slot = uint16(g)
+	} else {
+		*slot = bigSlot
+		a.bigLive[addr] = size
+	}
+	a.nLive++
+}
+
 // SizeOf returns the provisioned size of the live allocation at addr.
 func (a *Allocator) SizeOf(addr uint64) (uint64, bool) {
-	s, ok := a.live[addr]
-	return s, ok
+	slot := a.liveSlot(addr)
+	if slot == nil || *slot == 0 {
+		return 0, false
+	}
+	if *slot == bigSlot {
+		return a.bigLive[addr], true
+	}
+	return uint64(*slot) * Granule, true
 }
 
 // Free immediately recycles the allocation at addr (the insecure, classic
@@ -341,11 +417,16 @@ func (a *Allocator) Release(addr uint64) (uint64, error) {
 }
 
 func (a *Allocator) detach(addr uint64) (uint64, error) {
-	size, ok := a.live[addr]
+	size, ok := a.SizeOf(addr)
 	if !ok {
 		return 0, fmt.Errorf("alloc: free(%#x): %w", addr, ErrBadFree)
 	}
-	delete(a.live, addr)
+	slot := a.liveSlot(addr)
+	if *slot == bigSlot {
+		delete(a.bigLive, addr)
+	}
+	*slot = 0
+	a.nLive--
 	a.liveSize -= size
 	return size, nil
 }
@@ -359,10 +440,23 @@ func (a *Allocator) FreeRange(addr, size uint64) {
 	a.insertFree(addr, size)
 }
 
-// ForEachLive calls f for every live allocation in unspecified order.
+// ForEachLive calls f for every live allocation in ascending address order.
 func (a *Allocator) ForEachLive(f func(addr, size uint64)) {
-	for addr, size := range a.live {
+	a.forEachSlot(func(addr uint64, _ uint16) {
+		size, _ := a.SizeOf(addr)
 		f(addr, size)
+	})
+}
+
+// forEachSlot calls f with the address and value of every occupied
+// live-table slot, in ascending address order.
+func (a *Allocator) forEachSlot(f func(addr uint64, slot uint16)) {
+	for i, c := range a.live {
+		for j, g := range c {
+			if g != 0 {
+				f(a.base+(uint64(i)*liveSlots+uint64(j))*Granule, g)
+			}
+		}
 	}
 }
 
@@ -376,23 +470,51 @@ func (a *Allocator) FreeBytes() uint64 {
 }
 
 // CheckInvariants verifies internal consistency: free chunks are disjoint,
-// byAddr and byEnd agree, and live+free+never-allocated partitions the heap.
-// Tests call it after workloads.
+// byAddr and byEnd agree, the binmap matches the bins, the live table's
+// counters and overflow map match its slots, and live+free+never-allocated
+// partitions the heap. Tests call it after workloads.
 func (a *Allocator) CheckInvariants() error {
 	for addr, size := range a.byAddr {
 		if back, ok := a.byEnd[addr+size]; !ok || back != addr {
 			return fmt.Errorf("alloc: byEnd missing/disagrees for chunk %#x+%#x", addr, size)
 		}
-		if _, isLive := a.live[addr]; isLive {
+		if _, isLive := a.SizeOf(addr); isLive {
 			return fmt.Errorf("alloc: %#x both live and free", addr)
 		}
 	}
 	if len(a.byAddr) != len(a.byEnd) {
 		return fmt.Errorf("alloc: byAddr/byEnd size mismatch %d/%d", len(a.byAddr), len(a.byEnd))
 	}
+	for b, bin := range a.bins {
+		if set := a.binmap&(1<<b) != 0; set != (len(bin) > 0) {
+			return fmt.Errorf("alloc: binmap bit %d is %v with %d entries in the bin", b, set, len(bin))
+		}
+	}
+	if want := uint64(len(a.live)) * growQuantum; want != a.MappedBytes() {
+		return fmt.Errorf("alloc: live table covers %d bytes, %d mapped", want, a.MappedBytes())
+	}
 	var sum uint64
-	for _, s := range a.live {
-		sum += s
+	var n, big int
+	var badSentinel error
+	a.forEachSlot(func(addr uint64, slot uint16) {
+		size, _ := a.SizeOf(addr)
+		if slot == bigSlot {
+			if size/Granule < bigSlot && badSentinel == nil {
+				badSentinel = fmt.Errorf("alloc: sentinel slot %#x has overflow size %d", addr, size)
+			}
+			big++
+		}
+		n++
+		sum += size
+	})
+	if badSentinel != nil {
+		return badSentinel
+	}
+	if big != len(a.bigLive) {
+		return fmt.Errorf("alloc: %d sentinel slots, %d overflow entries", big, len(a.bigLive))
+	}
+	if n != a.nLive {
+		return fmt.Errorf("alloc: nLive %d != %d occupied slots", a.nLive, n)
 	}
 	if sum != a.liveSize {
 		return fmt.Errorf("alloc: liveSize %d != sum %d", a.liveSize, sum)

@@ -37,17 +37,17 @@ func goldenSequence(t testing.TB, opt Options, seed int64, ops int) string {
 	}
 	type span struct{ addr, size uint64 }
 	var live, quarantine []span
-	var bigLive int
+	var nBig int
 	size := func() uint64 {
 		switch x := r.Intn(1000); {
 		case x < 700:
 			return uint64(1 + r.Intn(512))
 		case x < 950:
 			return uint64(513 + r.Intn(16<<10))
-		case x < 995 || bigLive >= 2:
+		case x < 995 || nBig >= 2:
 			return uint64(16<<10 + r.Intn(256<<10))
 		default:
-			bigLive++
+			nBig++
 			return uint64(1<<20 + r.Intn(2<<20)) // ≥ 1 MiB
 		}
 	}
@@ -57,7 +57,7 @@ func goldenSequence(t testing.TB, opt Options, seed int64, ops int) string {
 		live[i] = live[len(live)-1]
 		live = live[:len(live)-1]
 		if s.size >= 1<<20 {
-			bigLive--
+			nBig--
 		}
 		return s
 	}
@@ -90,7 +90,7 @@ func goldenSequence(t testing.TB, opt Options, seed int64, ops int) string {
 				t.Fatal(err)
 			}
 			if n >= 1<<20 {
-				bigLive++
+				nBig++
 			}
 			live = append(live, span{addr, padded})
 			put(2, addr, padded)

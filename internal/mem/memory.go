@@ -47,6 +47,12 @@ func (m *Memory) Stats() Stats { return m.stats }
 // Map creates zeroed, tag-cleared pages covering [addr, addr+size). Both
 // addr and size must be page-aligned, and the range must not overlap an
 // existing mapping.
+//
+// The pages of one Map call share a single host allocation (a slab of
+// frames). Unmapping part of the range — as §8's page-granularity
+// deallocation does for the interior of a large freed chunk — makes those
+// pages fault at once, but the slab's host memory is only released when the
+// last of its pages is unmapped.
 func (m *Memory) Map(addr, size uint64) error {
 	if addr%PageSize != 0 || size%PageSize != 0 {
 		return faultf(ErrAlign, "mem: Map(%#x, %#x)", addr, size)
@@ -56,10 +62,20 @@ func (m *Memory) Map(addr, size uint64) error {
 			return faultf(ErrOverlap, "mem: Map(%#x, %#x) at %#x", addr, size, a)
 		}
 	}
-	for a := addr; a < addr+size; a += PageSize {
-		m.pages[a/PageSize] = &page{}
-	}
+	m.mapFrames(size/PageSize, func(i uint64) uint64 { return addr/PageSize + i })
 	return nil
+}
+
+// mapFrames maps n pages, the i'th at virtual page number vpn(i), onto one
+// slab of zeroed frames and returns the slab: frames[i] backs page vpn(i)
+// unless a later page repeats its number. The caller has checked that none
+// of the pages was mapped before.
+func (m *Memory) mapFrames(n uint64, vpn func(i uint64) uint64) []page {
+	frames := make([]page, n)
+	for i := range frames {
+		m.pages[vpn(uint64(i))] = &frames[i]
+	}
+	return frames
 }
 
 // Unmap removes the pages covering [addr, addr+size). Unmapped holes in the

@@ -329,3 +329,57 @@ func TestQuickTagAccounting(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestUnmapInteriorOfSlab unmaps the middle pages of one Map range — the
+// pattern of §8's page-granularity deallocation — and checks that exactly
+// those pages fault while their slab neighbours keep their contents.
+func TestUnmapInteriorOfSlab(t *testing.T) {
+	const pages = 8
+	m, heap := newHeap(t, pages)
+	for i := uint64(0); i < pages; i++ {
+		if err := m.StoreWord(heap, heapBase+i*PageSize, 100+i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Unmap(heapBase+2*PageSize, 3*PageSize); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < pages; i++ {
+		addr := heapBase + i*PageSize
+		got, err := m.LoadWord(heap, addr)
+		if i >= 2 && i < 5 {
+			if !errors.Is(err, ErrUnmapped) || m.Mapped(addr) {
+				t.Errorf("page %d: load after Unmap = %d, %v; want ErrUnmapped", i, got, err)
+			}
+			continue
+		}
+		if err != nil || got != 100+i || !m.Mapped(addr) {
+			t.Errorf("page %d: load = %d, %v; want %d", i, got, err, 100+i)
+		}
+	}
+	if m.MappedBytes() != 5*PageSize {
+		t.Errorf("MappedBytes = %d, want %d", m.MappedBytes(), 5*PageSize)
+	}
+	// The hole can be mapped again, fresh and zeroed.
+	if err := m.Map(heapBase+3*PageSize, PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := m.LoadWord(heap, heapBase+3*PageSize); err != nil || got != 0 {
+		t.Errorf("remapped page: load = %d, %v; want 0", got, err)
+	}
+}
+
+// BenchmarkMapGrow maps a heap in the allocator's 256 KiB grow quanta.
+func BenchmarkMapGrow(b *testing.B) {
+	const quantum, quanta = 64 * PageSize, 64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m := New()
+		for q := uint64(0); q < quanta; q++ {
+			if err := m.Map(heapBase+q*quantum, quantum); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.SetBytes(quantum * quanta)
+}

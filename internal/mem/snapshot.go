@@ -58,18 +58,17 @@ func ReadSnapshot(r io.Reader) (*Memory, error) {
 		return nil, fmt.Errorf("mem: snapshot version %d, want %d", img.Version, snapshotVersion)
 	}
 	m := New()
-	for _, sp := range img.Pages {
-		if _, dup := m.pages[sp.VPN]; dup {
+	frames := m.mapFrames(uint64(len(img.Pages)), func(i uint64) uint64 { return img.Pages[i].VPN })
+	for i, sp := range img.Pages {
+		p := &frames[i]
+		if m.pages[sp.VPN] != p {
 			return nil, fmt.Errorf("mem: snapshot has duplicate page %#x", sp.VPN*PageSize)
 		}
-		p := &page{
-			words:           sp.Words,
-			tags:            sp.Tags,
-			capDirty:        sp.CapDirty,
-			capStoreInhibit: sp.CapStoreInhibit,
-		}
+		p.words = sp.Words
+		p.tags = sp.Tags
+		p.capDirty = sp.CapDirty
+		p.capStoreInhibit = sp.CapStoreInhibit
 		p.capCount = p.countTags()
-		m.pages[sp.VPN] = p
 	}
 	return m, nil
 }

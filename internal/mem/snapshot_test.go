@@ -2,6 +2,8 @@ package mem
 
 import (
 	"bytes"
+	"encoding/gob"
+	"strings"
 	"testing"
 
 	"repro/internal/cap"
@@ -82,5 +84,20 @@ func TestSnapshotDeterministicBytes(t *testing.T) {
 func TestSnapshotRejectsGarbage(t *testing.T) {
 	if _, err := ReadSnapshot(bytes.NewReader([]byte("not a snapshot"))); err == nil {
 		t.Error("garbage accepted")
+	}
+}
+
+func TestSnapshotRejectsDuplicatePage(t *testing.T) {
+	img := snapshotImage{Version: snapshotVersion, Pages: []snapshotPage{
+		{VPN: heapBase / PageSize},
+		{VPN: heapBase/PageSize + 1},
+		{VPN: heapBase / PageSize},
+	}}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&img); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadSnapshot(&buf); err == nil || !strings.Contains(err.Error(), "duplicate page") {
+		t.Errorf("duplicate page: got %v", err)
 	}
 }

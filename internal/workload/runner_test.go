@@ -194,3 +194,34 @@ func TestLiveSetTake(t *testing.T) {
 		t.Error("take from empty set succeeded")
 	}
 }
+
+// TestLiveSetCompactionKeepsDraws checks that moving the live tail down in
+// add changes no draw: a set that never compacts, driven by the same random
+// stream, takes the same handles in the same order. It also checks that
+// compaction bounds the slice by the live window rather than by the number
+// of adds.
+func TestLiveSetCompactionKeepsDraws(t *testing.T) {
+	ops := newRNG(7)
+	rl, rr := newRNG(8), newRNG(8)
+	var l, plain liveSet
+	peak := 0
+	for i := 0; i < 200000; i++ {
+		if ops.intn(100) < 52 || l.count == 0 {
+			h := handle{addr: uint64(i), size: 16, caps: i%3 == 0}
+			l.add(h)
+			plain.items = append(plain.items, h)
+			plain.count++
+			continue
+		}
+		frag := []float64{0, 0.3, 1}[i%3]
+		got, ok1 := l.take(rl, frag)
+		want, ok2 := plain.take(rr, frag)
+		if got != want || ok1 != ok2 {
+			t.Fatalf("op %d: take = %+v, %v; uncompacted set took %+v, %v", i, got, ok1, want, ok2)
+		}
+		peak = max(peak, len(l.items)-l.head)
+	}
+	if len(plain.items) < 100000 || cap(l.items) > 8*peak {
+		t.Errorf("slice capacity %d for a live window of at most %d (%d adds)", cap(l.items), peak, len(plain.items))
+	}
+}
