@@ -17,13 +17,26 @@ import (
 //     immediately before always hits (associativity ≥ 1 and LRU recency);
 //  4. counter coherence: hits+misses equals accesses, write-backs never
 //     exceed misses (only allocations evict), and a second identical run
-//     on a fresh cache reproduces the same counters (determinism).
+//     on a fresh cache reproduces the same counters (determinism);
+//  5. equivalence: every (hit, writeBack) and every counter matches the
+//     frozen reference model (cache_ref_test.go).
+//
+// Each op is 9 bytes: a little-endian address, then a flag byte whose bit 0
+// makes the access a write and whose bit 1 resets both caches before it.
 func FuzzCacheAccess(f *testing.F) {
 	f.Add(uint32(1024), uint16(64), uint8(2), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8})
 	// Non-power-of-two capacity, line size and ways.
 	f.Add(uint32(3000), uint16(48), uint8(3), []byte("\x10\x00\x00\x00\x00\x00\x00\x00\x01"))
 	f.Add(uint32(7), uint16(1), uint8(1), []byte("abcdefghijklmnopqr"))
 	f.Add(uint32(96<<10), uint16(96), uint8(12), make([]byte, 64))
+	// Dirty fills into one set, a Reset, then the same lines again.
+	f.Add(uint32(256), uint16(64), uint8(2), []byte(
+		"\x00\x00\x00\x00\x00\x00\x00\x00\x01"+
+			"\x00\x02\x00\x00\x00\x00\x00\x00\x01"+
+			"\x00\x04\x00\x00\x00\x00\x00\x00\x01"+
+			"\x00\x00\x00\x00\x00\x00\x00\x00\x02"+
+			"\x00\x02\x00\x00\x00\x00\x00\x00\x00"+
+			"\x00\x04\x00\x00\x00\x00\x00\x00\x03"))
 
 	f.Fuzz(func(t *testing.T, size uint32, lineSize uint16, ways uint8, ops []byte) {
 		if lineSize == 0 {
@@ -38,7 +51,7 @@ func FuzzCacheAccess(f *testing.F) {
 		cfg := CacheConfig{Name: "fuzz", Size: uint64(size), LineSize: uint64(lineSize), Ways: int(ways)}
 
 		run := func() (CacheStats, bool) {
-			c := NewCache(cfg)
+			c, ref := NewCache(cfg), newRefCache(cfg)
 			seen := map[uint64]bool{}
 			var accesses, lastLine uint64
 			haveLast := false
@@ -46,11 +59,21 @@ func FuzzCacheAccess(f *testing.F) {
 			for len(ops) >= 9 {
 				addr := binary.LittleEndian.Uint64(ops)
 				write := ops[8]&1 == 1
+				if ops[8]&2 != 0 {
+					c.Reset()
+					ref.Reset()
+					clear(seen)
+					accesses = 0
+				}
 				ops = ops[9:]
 				line := addr / cfg.LineSize
 
 				hit, wb := c.Access(addr, write)
 				accesses++
+				if rhit, rwb := ref.Access(addr, write); hit != rhit || wb != rwb {
+					t.Fatalf("Access(%#x, %v) = (%v, %v), reference (%v, %v) (cfg %+v)",
+						addr, write, hit, wb, rhit, rwb, cfg)
+				}
 				if hit && !seen[line] {
 					t.Fatalf("false hit: line %#x never accessed (cfg %+v)", line, cfg)
 				}
@@ -60,10 +83,18 @@ func FuzzCacheAccess(f *testing.F) {
 				seen[line] = true
 
 				// Immediate re-access of the same line must hit.
-				if reHit, _ := c.Access(addr, false); !reHit {
+				reHit, reWB := c.Access(addr, false)
+				if !reHit {
 					t.Fatalf("immediate re-access of %#x missed (cfg %+v)", addr, cfg)
 				}
+				if rhit, rwb := ref.Access(addr, false); reHit != rhit || reWB != rwb {
+					t.Fatalf("re-access of %#x = (%v, %v), reference (%v, %v) (cfg %+v)",
+						addr, reHit, reWB, rhit, rwb, cfg)
+				}
 				accesses++
+				if c.Stats() != ref.stats {
+					t.Fatalf("stats %+v, reference %+v (cfg %+v)", c.Stats(), ref.stats, cfg)
+				}
 				lastLine, haveLast = line, true
 			}
 			s := c.Stats()
