@@ -80,12 +80,12 @@ type TrafficReport struct {
 }
 
 // hierarchyPools recycles the job-owned cache hierarchies across campaign
-// jobs, one pool per traffic model — the Sweeper.shardClones pattern lifted
-// to the campaign layer. A hierarchy is megabytes of line metadata, and a
-// campaign with traffic modelling runs hundreds of jobs; HierarchyPool.Put
-// resets to the exact cold state the constructor produces, so a pooled job
-// is byte-identical to one with a fresh hierarchy (the campaign determinism
-// suites pin this). sync.Pool underneath makes it safe for the worker pool.
+// jobs, one pool per traffic model. A pooled hierarchy keeps the shard
+// clones its sweeps replay into (mem.Hierarchy.ShardClones), so a
+// steady-state job allocates no cache metadata. HierarchyPool.Put resets to
+// the cold state the constructor produces, so a pooled job is byte-identical
+// to one with a fresh hierarchy (the campaign determinism suites pin this).
+// sync.Pool underneath makes it safe for the worker pool.
 var hierarchyPools = map[string]*mem.HierarchyPool{
 	TrafficX86:   mem.NewHierarchyPool(mem.NewX86Hierarchy),
 	TrafficCHERI: mem.NewHierarchyPool(mem.NewCHERIHierarchy),

@@ -1,6 +1,9 @@
 package mem
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // Set-associative LRU cache model used to account DRAM traffic for the
 // revocation sweep (Figure 10) and to model the tag cache that CLoadTags
@@ -36,34 +39,51 @@ func (s CacheStats) Merge(other CacheStats) CacheStats {
 	}
 }
 
-type cacheLine struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64
-}
-
 // Cache is a single set-associative, write-back, write-allocate LRU cache.
+//
+// The line metadata is two flat arrays indexed set*ways+way: tags holds each
+// way's line address, and stamps holds the LRU clock of its last access
+// shifted left one bit, with the dirty flag in bit 0. A way is valid iff its
+// stamp exceeds floor, so Reset invalidates every line at once by raising
+// floor past every stamp issued so far. A fill takes the first invalid way
+// and nothing invalidates a single line, so the valid ways of a set are
+// always a prefix of it.
 type Cache struct {
-	cfg   CacheConfig
-	sets  [][]cacheLine
-	clock uint64
-	stats CacheStats
+	cfg    CacheConfig
+	tags   []uint64
+	stamps []uint64
+	ways   uint64
+	nSets  uint64
+	// pow2 is set when both the line size and the set count are powers of
+	// two: Access then shifts by lineShift and masks by nSets-1 instead of
+	// dividing.
+	pow2      bool
+	lineShift uint
+	clock     uint64
+	floor     uint64
+	stats     CacheStats
 }
 
 // NewCache returns a cache with the given geometry. Size must be a multiple
 // of LineSize*Ways.
 func NewCache(cfg CacheConfig) *Cache {
-	nSets := int(cfg.Size / cfg.LineSize / uint64(cfg.Ways))
+	nSets := cfg.Size / cfg.LineSize / uint64(cfg.Ways)
 	if nSets < 1 {
 		nSets = 1
 	}
-	sets := make([][]cacheLine, nSets)
-	for i := range sets {
-		sets[i] = make([]cacheLine, cfg.Ways)
+	n := nSets * uint64(cfg.Ways)
+	return &Cache{
+		cfg:       cfg,
+		tags:      make([]uint64, n),
+		stamps:    make([]uint64, n),
+		ways:      uint64(cfg.Ways),
+		nSets:     nSets,
+		pow2:      isPow2(cfg.LineSize) && isPow2(nSets),
+		lineShift: uint(bits.TrailingZeros64(cfg.LineSize)),
 	}
-	return &Cache{cfg: cfg, sets: sets}
 }
+
+func isPow2(v uint64) bool { return v&(v-1) == 0 }
 
 // Config returns the cache's geometry.
 func (c *Cache) Config() CacheConfig { return c.cfg }
@@ -72,8 +92,7 @@ func (c *Cache) Config() CacheConfig { return c.cfg }
 func (c *Cache) Stats() CacheStats { return c.stats }
 
 // CloneCold returns a new cache with the same geometry, all lines invalid
-// and zeroed counters. Sweep shards replay into cold clones so their
-// counters can be merged deterministically.
+// and zeroed counters.
 func (c *Cache) CloneCold() *Cache { return NewCache(c.cfg) }
 
 // AbsorbStats folds another cache's counters into this one's. Line state is
@@ -81,14 +100,10 @@ func (c *Cache) CloneCold() *Cache { return NewCache(c.cfg) }
 // access stream and have no meaningful union with this cache's lines.
 func (c *Cache) AbsorbStats(s CacheStats) { c.stats = c.stats.Merge(s) }
 
-// Reset invalidates all lines and zeroes counters.
+// Reset invalidates all lines and zeroes counters. It raises floor to the
+// largest stamp issued so far, dirty bit included, and touches no line.
 func (c *Cache) Reset() {
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			c.sets[i][j] = cacheLine{}
-		}
-	}
-	c.clock = 0
+	c.floor = c.clock<<1 | 1
 	c.stats = CacheStats{}
 }
 
@@ -97,36 +112,46 @@ func (c *Cache) Reset() {
 // line.
 func (c *Cache) Access(addr uint64, write bool) (hit, writeBack bool) {
 	c.clock++
-	lineAddr := addr / c.cfg.LineSize
-	set := c.sets[lineAddr%uint64(len(c.sets))]
-	for i := range set {
-		l := &set[i]
-		if l.valid && l.tag == lineAddr {
-			l.lru = c.clock
-			if write {
-				l.dirty = true
-			}
-			c.stats.Hits++
-			return true, false
-		}
+	stamp := c.clock << 1
+	if write {
+		stamp |= 1
 	}
-	// Prefer an invalid way, else the least-recently-used one.
-	victim := 0
-	for i := range set {
-		if !set[i].valid {
+	var line, set uint64
+	if c.pow2 {
+		line = addr >> c.lineShift
+		set = line & (c.nSets - 1)
+	} else {
+		line = addr / c.cfg.LineSize
+		set = line % c.nSets
+	}
+	lo, hi := set*c.ways, (set+1)*c.ways
+	tags, stamps := c.tags[lo:hi:hi], c.stamps[lo:hi:hi]
+	tags = tags[:len(stamps)]
+
+	// One pass over the valid prefix: a hit returns, the first invalid way
+	// is the fill target, and otherwise the oldest stamp is the LRU victim.
+	floor := c.floor
+	victim, oldest := 0, ^uint64(0)
+	for i, s := range stamps {
+		if s <= floor {
 			victim = i
 			break
 		}
-		if set[i].lru < set[victim].lru {
-			victim = i
+		if tags[i] == line {
+			stamps[i] = stamp | s&1
+			c.stats.Hits++
+			return true, false
+		}
+		if s < oldest {
+			victim, oldest = i, s
 		}
 	}
 	c.stats.Misses++
-	writeBack = set[victim].valid && set[victim].dirty
-	if writeBack {
+	if old := stamps[victim]; old > floor && old&1 == 1 {
+		writeBack = true
 		c.stats.WriteBacks++
 	}
-	set[victim] = cacheLine{tag: lineAddr, valid: true, dirty: write, lru: c.clock}
+	tags[victim], stamps[victim] = line, stamp
 	return false, writeBack
 }
 
@@ -158,6 +183,8 @@ type Hierarchy struct {
 	// covers TagLineCoverage bytes of data memory.
 	TagCache *Cache
 	stats    HierarchyStats
+	// shards are the cold clones ShardClones hands out, kept for reuse.
+	shards []*Hierarchy
 }
 
 // TagLineCoverage is the span of data memory covered by one tag-cache line:
@@ -193,6 +220,24 @@ func (h *Hierarchy) Stats() HierarchyStats { return h.stats }
 
 // CloneCold returns a hierarchy with the same geometry at every level, all
 // lines invalid and all counters zero.
+func (h *Hierarchy) CloneCold() *Hierarchy {
+	clone := &Hierarchy{
+		L1:  h.L1.CloneCold(),
+		L2:  h.L2.CloneCold(),
+		LLC: h.LLC.CloneCold(),
+	}
+	if h.TagCache != nil {
+		clone.TagCache = h.TagCache.CloneCold()
+	}
+	return clone
+}
+
+// ShardClones returns n cold clones of h, one per shard of a parallel sweep.
+// h owns them: the next call resets and returns the same clones (growing the
+// set when n grows), so a caller must Absorb each clone's counters before
+// asking again. Because Reset is O(1), a hierarchy recycled through a
+// HierarchyPool brings its clones with it, and a steady-state sweep
+// allocates no line metadata.
 //
 // Approximation note (per-shard cold start vs. shared LRU): a parallel sweep
 // gives each shard a cold clone instead of sharing one LRU-coherent
@@ -205,16 +250,15 @@ func (h *Hierarchy) Stats() HierarchyStats { return h.stats }
 // shard. What the clone does forgo is warmth carried in from the
 // application between sweeps — the model charges every sweep cold-cache
 // streaming traffic, matching the paper's pessimistic Figure 10 accounting.
-func (h *Hierarchy) CloneCold() *Hierarchy {
-	clone := &Hierarchy{
-		L1:  h.L1.CloneCold(),
-		L2:  h.L2.CloneCold(),
-		LLC: h.LLC.CloneCold(),
+func (h *Hierarchy) ShardClones(n int) []*Hierarchy {
+	for len(h.shards) < n {
+		h.shards = append(h.shards, h.CloneCold())
 	}
-	if h.TagCache != nil {
-		clone.TagCache = h.TagCache.CloneCold()
+	clones := h.shards[:n]
+	for _, c := range clones {
+		c.Reset()
 	}
-	return clone
+	return clones
 }
 
 // Absorb merges a shard clone's counters — per-level CacheStats and the
@@ -252,7 +296,7 @@ func (h *Hierarchy) Levels() []LevelStats {
 	return out
 }
 
-// Reset clears all levels and counters.
+// Reset clears all levels and counters, in O(1) per level (see Cache.Reset).
 func (h *Hierarchy) Reset() {
 	h.L1.Reset()
 	h.L2.Reset()
@@ -314,13 +358,14 @@ func (h *Hierarchy) AccessTags(dataAddr uint64) bool {
 	return hit
 }
 
-// HierarchyPool recycles Hierarchy instances across simulation jobs. A
-// hierarchy is ~4 MiB of per-line metadata, so allocating one per campaign
-// job dominates job setup; Put resets the hierarchy to the exact cold state
-// New produces (Reset invalidates every line and zeroes every counter), so a
-// pooled Get is observationally identical to a fresh construction and the
-// determinism suites hold bit for bit. Safe for concurrent use by campaign
-// workers.
+// HierarchyPool recycles Hierarchy instances across simulation jobs. A cold
+// x86 hierarchy with its sweep's shard clones is megabytes of line metadata,
+// so allocating them per campaign job dominates job setup. Put resets the
+// hierarchy to the cold state New produces (every line invalid, every
+// counter zero), so a pooled Get is observationally identical to a fresh
+// construction and the determinism suites hold bit for bit; the shard clones
+// travel with it and are reset as ShardClones hands them out. Safe for
+// concurrent use by campaign workers.
 type HierarchyPool struct {
 	// New constructs a hierarchy when the pool is empty
 	// (e.g. NewX86Hierarchy).

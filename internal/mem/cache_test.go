@@ -108,3 +108,23 @@ func TestTagCacheProbe(t *testing.T) {
 		t.Errorf("TagDRAMReads = %d", h.Stats().TagDRAMReads)
 	}
 }
+
+// BenchmarkHierarchySweepStream replays the access stream of a cold
+// revocation sweep through the x86 hierarchy: one CLoadTags probe and one
+// data read per line over 16 MiB (twice the LLC, so the LLC evicts), with a
+// Reset before each pass as a sharded sweep resets its clones. It reports
+// ns/line.
+func BenchmarkHierarchySweepStream(b *testing.B) {
+	const base, span = uint64(0x10000000), uint64(16 << 20)
+	h := NewX86Hierarchy()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Reset()
+		for addr := base; addr < base+span; addr += LineSize {
+			h.AccessTags(addr)
+			h.Access(addr, false)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*span/LineSize), "ns/line")
+}

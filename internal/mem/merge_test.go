@@ -127,6 +127,33 @@ func TestHierarchyCloneColdAndAbsorb(t *testing.T) {
 	}
 }
 
+func TestShardClonesReusedCold(t *testing.T) {
+	h := NewX86Hierarchy()
+	first := h.ShardClones(2)
+	for _, c := range first {
+		c.Access(0x1000, true)
+		c.AccessTags(0x1000)
+	}
+	again := h.ShardClones(4)
+	if len(again) != 4 || again[0] != first[0] || again[1] != first[1] {
+		t.Fatalf("ShardClones(4) did not reuse the first two clones")
+	}
+	for i, c := range again {
+		if c.Stats() != (HierarchyStats{}) {
+			t.Errorf("clone %d not cold: %+v", i, c.Stats())
+		}
+		if lvl := c.Access(0x1000, false); lvl != 4 {
+			t.Errorf("clone %d kept a line (hit level %d)", i, lvl)
+		}
+		if c.AccessTags(0x1000) {
+			t.Errorf("clone %d kept a tag line", i)
+		}
+	}
+	if h.Stats() != (HierarchyStats{}) {
+		t.Errorf("clones' accesses reached the parent: %+v", h.Stats())
+	}
+}
+
 func TestHierarchyWriteBack(t *testing.T) {
 	h := NewX86Hierarchy()
 	h.WriteBack()

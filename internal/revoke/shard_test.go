@@ -26,7 +26,7 @@ const trafficTolerance = 0
 // buildSeededHeap maps `pages` pages and plants a seeded random mix of
 // capabilities, painting a seeded subset of the shadow map, so every call
 // with the same seed produces an identical sweep input.
-func buildSeededHeap(t *testing.T, seed int64, pages int) *fixture {
+func buildSeededHeap(t testing.TB, seed int64, pages int) *fixture {
 	t.Helper()
 	size := uint64(pages) * mem.PageSize
 	m := mem.New()

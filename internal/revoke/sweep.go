@@ -33,11 +33,11 @@ type Config struct {
 
 	// Hierarchy, when non-nil, replays the sweep's accesses through the
 	// cache model for DRAM-traffic accounting (Figure 10), for serial and
-	// sharded sweeps alike: each shard replays into a cold clone
-	// (mem.Hierarchy.CloneCold) and the per-level counters are merged
-	// back in shard order, so the traffic totals are identical for any
-	// shard count. It is runtime state, not configuration data, and is
-	// excluded from serialised campaign specs.
+	// sharded sweeps alike: each shard replays into one of the
+	// hierarchy's own cold clones (mem.Hierarchy.ShardClones) and the
+	// per-level counters are merged back in shard order, so the traffic
+	// totals are identical for any shard count. It is runtime state, not
+	// configuration data, and is excluded from serialised campaign specs.
 	Hierarchy *mem.Hierarchy `json:"-"`
 }
 
@@ -118,23 +118,18 @@ func (s *Stats) Add(other Stats) {
 }
 
 // Sweeper revokes dangling capabilities against a shadow map. It is not safe
-// for concurrent use: the shard clones below are reused across sweeps.
+// for concurrent use: its buffers are reused across sweeps, and so are the
+// shard clones of Config.Hierarchy, which the hierarchy owns.
 type Sweeper struct {
 	mem    *mem.Memory
 	shadow *shadow.Map
 	cfg    Config
 
-	// shardClones are the per-shard hierarchy replicas, kept across
-	// sweeps and Reset to cold before each one: a clone of the x86
-	// geometry is several MiB of line metadata, far too much to allocate
-	// per sweep when campaigns sweep thousands of times.
-	shardClones []*mem.Hierarchy
-
-	// The same keep-across-sweeps rule applied to the flat slices a sweep
-	// walks: the page list, the shard partition, the per-shard and merged
-	// revocation lists. Campaigns sweep thousands of times over stable
-	// page-set sizes, so after the first sweep these reach steady state
-	// and the per-sweep allocation count stops scaling with heap size.
+	// The flat slices a sweep walks are kept across sweeps: the page
+	// list, the shard partition, the per-shard and merged revocation
+	// lists. Campaigns sweep thousands of times over stable page-set
+	// sizes, so after the first sweep these reach steady state and the
+	// per-sweep allocation count stops scaling with heap size.
 	pageBuf      []uint64
 	partsBuf     [][]uint64
 	shardRevoked [][]uint64
@@ -268,12 +263,8 @@ func (s *Sweeper) sweepSharded(parts [][]uint64, stats *Stats) ([]uint64, error)
 		results[i].revoked = s.shardRevoked[i][:0]
 	}
 	if s.cfg.Hierarchy != nil {
-		for len(s.shardClones) < shards {
-			s.shardClones = append(s.shardClones, s.cfg.Hierarchy.CloneCold())
-		}
-		for i := range results {
-			s.shardClones[i].Reset()
-			results[i].h = s.shardClones[i]
+		for i, h := range s.cfg.Hierarchy.ShardClones(shards) {
+			results[i].h = h
 		}
 	}
 

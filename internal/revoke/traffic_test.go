@@ -1,6 +1,7 @@
 package revoke
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/mem"
@@ -110,5 +111,90 @@ func TestSweepTimeMatchesKernelAcrossConfigs(t *testing.T) {
 	}
 	if !(both < dirty) {
 		t.Errorf("both %.3g not below CapDirty %.3g (sparse lines)", both, dirty)
+	}
+}
+
+// TestPooledHierarchySweepsCold pins that a hierarchy recycled through a
+// HierarchyPool — the campaign's per-job pattern — replays a sweep exactly
+// as a fresh one does: the shard clones it owns from an earlier job come
+// back cold. The recycled hierarchy first sweeps a different image with 4
+// shards, so every clone it keeps holds lines and dirty state.
+func TestPooledHierarchySweepsCold(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		for _, tc := range shardConfigs {
+			cfg := tc.cfg
+			cfg.Shards = shards
+
+			sweep := func(h *mem.Hierarchy) (Stats, []mem.LevelStats) {
+				f := buildSeededHeap(t, 7, 64)
+				c := cfg
+				c.Hierarchy = h
+				st, err := New(f.mem, f.shadow, c).Sweep(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st, h.Levels()
+			}
+			want, wantLevels := sweep(mem.NewX86Hierarchy())
+
+			used := mem.NewX86Hierarchy()
+			other := buildSeededHeap(t, 11, 48)
+			if _, err := New(other.mem, other.shadow, Config{UseCLoadTags: true, Shards: 4, Hierarchy: used}).Sweep(nil); err != nil {
+				t.Fatal(err)
+			}
+			used.Access(heapBase, true)
+			pool := mem.NewHierarchyPool(mem.NewX86Hierarchy)
+			var got *mem.Hierarchy
+			// sync.Pool may drop a Put (the race detector does so at
+			// random), so retry until the used hierarchy comes back.
+			for i := 0; i < 100 && got != used; i++ {
+				pool.Put(used)
+				got = pool.Get()
+			}
+			if got != used {
+				t.Fatal("pool never returned the recycled hierarchy")
+			}
+
+			st, levels := sweep(got)
+			if st != want || st.Traffic != want.Traffic {
+				t.Errorf("%s, %d shards: pooled sweep\n got %+v\nwant %+v", tc.name, shards, st, want)
+			}
+			if !slices.Equal(levels, wantLevels) {
+				t.Errorf("%s, %d shards: pooled levels\n got %+v\nwant %+v", tc.name, shards, levels, wantLevels)
+			}
+		}
+	}
+}
+
+// BenchmarkSweepTraffic sweeps a fixed 2 MiB heap image with the x86 cache
+// model attached and 4 shards, the figures-sweep configuration, with
+// CLoadTags on and off. A warm-up sweep revokes the painted capabilities
+// first, so every timed sweep walks the same image. The hierarchy and its
+// shard clones are reused across sweeps, as in a campaign job, so
+// -benchmem shows no per-sweep clone allocation.
+func BenchmarkSweepTraffic(b *testing.B) {
+	for _, tags := range []bool{false, true} {
+		name := "cload-tags-off"
+		if tags {
+			name = "cload-tags-on"
+		}
+		b.Run(name, func(b *testing.B) {
+			f := buildSeededHeap(b, 5, 512)
+			s := New(f.mem, f.shadow, Config{UseCLoadTags: tags, Shards: 4, Hierarchy: mem.NewX86Hierarchy()})
+			if _, err := s.Sweep(nil); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var lines uint64
+			for i := 0; i < b.N; i++ {
+				st, err := s.Sweep(nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				lines += st.LinesSwept + st.LinesSkipped
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(lines), "ns/line")
+		})
 	}
 }
