@@ -156,7 +156,7 @@ func TestPooledHierarchySweepsCold(t *testing.T) {
 			}
 
 			st, levels := sweep(got)
-			if st != want || st.Traffic != want.Traffic {
+			if st != want {
 				t.Errorf("%s, %d shards: pooled sweep\n got %+v\nwant %+v", tc.name, shards, st, want)
 			}
 			if !slices.Equal(levels, wantLevels) {
@@ -169,9 +169,10 @@ func TestPooledHierarchySweepsCold(t *testing.T) {
 // BenchmarkSweepTraffic sweeps a fixed 2 MiB heap image with the x86 cache
 // model attached and 4 shards, the figures-sweep configuration, with
 // CLoadTags on and off. A warm-up sweep revokes the painted capabilities
-// first, so every timed sweep walks the same image. The hierarchy and its
-// shard clones are reused across sweeps, as in a campaign job, so
-// -benchmem shows no per-sweep clone allocation.
+// first, so every timed sweep walks the same image. Each sweep builds a new
+// Sweeper over one long-lived hierarchy, as each campaign job builds its own
+// sweeper over a pooled hierarchy, so -benchmem shows whether the shard
+// clones are allocated per sweep.
 func BenchmarkSweepTraffic(b *testing.B) {
 	for _, tags := range []bool{false, true} {
 		name := "cload-tags-off"
@@ -180,15 +181,15 @@ func BenchmarkSweepTraffic(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			f := buildSeededHeap(b, 5, 512)
-			s := New(f.mem, f.shadow, Config{UseCLoadTags: tags, Shards: 4, Hierarchy: mem.NewX86Hierarchy()})
-			if _, err := s.Sweep(nil); err != nil {
+			cfg := Config{UseCLoadTags: tags, Shards: 4, Hierarchy: mem.NewX86Hierarchy()}
+			if _, err := New(f.mem, f.shadow, cfg).Sweep(nil); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			var lines uint64
 			for i := 0; i < b.N; i++ {
-				st, err := s.Sweep(nil)
+				st, err := New(f.mem, f.shadow, cfg).Sweep(nil)
 				if err != nil {
 					b.Fatal(err)
 				}
